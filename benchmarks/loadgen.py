@@ -10,11 +10,12 @@ coalescing, and fairness effect the service actually imposes.
 
 What one run records:
 
-* ``serve_outlier`` — the toggle-switch serve regression this PR fixes:
-  at the model's symmetric default rates, undamped Jacobi enters a
-  period-2 oscillation and **stagnates**; the serve layer now defaults
-  ``damping=0.9`` when the caller specifies none.  Before/after
-  stop-reason, iterations, and wall time.
+* ``serve_outlier`` — the toggle-switch serve outlier: at the model's
+  symmetric default rates, plain Jacobi enters a period-2 oscillation
+  and **stagnates**.  "before" pins the plain iteration
+  (``damping=1.0``); "after" is the default, where the solver detects
+  the oscillation and switches to damped steps.  Stop reason,
+  iterations, and wall time of each.
 * ``load`` — for each offered arrival rate (at least two): sustained
   jobs/s, end-to-end latency p50/p90/p99 (measured caller-side,
   submission to completion callback), per-tenant counts under a skewed
@@ -219,10 +220,10 @@ def bench_outlier(quick: bool) -> dict:
     net = toggle_switch(max_protein=9 if quick else 11)
     out = {"model": "toggle_switch",
            "condition": "symmetric default rates",
-           "fix": "serve-level default damping 0.9 when unspecified"}
-    for default_damping, label in ((None, "before"), (0.9, "after")):
+           "fix": "period-2 detection in the Jacobi loop (the default)"}
+    for options, label in (({"damping": 1.0}, "before"), ({}, "after")):
         with SolveService(net, workers=1, cache=False,
-                          default_damping=default_damping,
+                          solver_options=options,
                           max_iterations=20_000) as svc:
             t0 = time.perf_counter()
             outcome = svc.submit({}).result(timeout=120)
@@ -370,7 +371,7 @@ def main(argv=None) -> int:
         },
     }
 
-    print("[loadgen] serve outlier: toggle_switch default damping")
+    print("[loadgen] serve outlier: toggle_switch plain vs default")
     report["serve_outlier"] = bench_outlier(args.quick)
 
     print(f"[loadgen] open-loop sweep: rates={rates} jobs/s, "
@@ -399,7 +400,7 @@ def main(argv=None) -> int:
     failures = []
     outlier = report["serve_outlier"]
     if outlier["after"]["stop_reason"] != "converged":
-        failures.append("serve outlier still present: damped toggle "
+        failures.append("serve outlier still present: default toggle "
                         f"solve ended {outlier['after']['stop_reason']}")
     if not args.skip_faults and "faulted" in report:
         faulted = report["faulted"]

@@ -1209,6 +1209,9 @@ class NativeBackend:
             out = np.empty_like(X)
         elif np.shares_memory(out, X):
             raise ValueError("jacobi_sweep out must not alias X")
+        elif not out.flags.c_contiguous or out.shape != X.shape:
+            raise ValueError("jacobi_sweep out must be C-contiguous "
+                             "and shaped like X")
         ptrs = _vec_ptr_cache(A)
         lib.csr_jacobi_sweep(A.shape[0], kr, pi, pc, pv,
                              _cached_p64(ptrs, diag),

@@ -146,7 +146,9 @@ class ProjectionAssembler:
 
     :meth:`assemble` then reduces to a vectorized key lookup of cached
     successor keys against the current projection — no propensity is
-    ever evaluated twice across grow/prune/permute rounds.
+    ever evaluated twice across grow/prune/permute rounds.  The cache's
+    own index is a sorted key array searched with ``searchsorted``, so
+    finding the rows of a projection is vectorized too.
     """
 
     def __init__(self, network: ReactionNetwork):
@@ -158,7 +160,9 @@ class ProjectionAssembler:
             raise EnumerationError(
                 "state encoding exceeds 63-bit range; reduce buffers")
         self._radix = radix
-        self._index: dict[int, int] = {}
+        #: Cached keys in ascending order, and the cache row of each.
+        self._sorted_keys = np.empty(0, dtype=np.int64)
+        self._sorted_rows = np.empty(0, dtype=np.int64)
         self._states = np.empty((0, network.n_species), dtype=np.int64)
         self._prop = np.empty((0, network.n_reactions), dtype=np.float64)
         self._succ = np.empty((0, network.n_reactions), dtype=np.int64)
@@ -178,18 +182,17 @@ class ProjectionAssembler:
             raise ValidationError(
                 f"states must have shape (n, {self.network.n_species})")
         keys = self._encode(states)
-        rows = np.fromiter((self._index.get(int(k), -1) for k in keys),
-                           count=keys.size, dtype=np.int64)
+        rows = _lookup_keys(self._sorted_keys, self._sorted_rows, keys)
         missing = np.flatnonzero(rows < 0)
         if missing.size:
             # De-duplicate within the new batch while keeping first-seen
             # order, then evaluate all new states in one vectorized pass
             # per reaction.
-            new_keys, first = np.unique(keys[missing], return_index=True)
-            new_states = states[missing[np.sort(first)]]
-            new_keys = keys[missing[np.sort(first)]]
-            self._evaluate(new_states, new_keys)
-            rows[missing] = [self._index[int(k)] for k in keys[missing]]
+            _, first = np.unique(keys[missing], return_index=True)
+            first = missing[np.sort(first)]
+            self._evaluate(states[first], keys[first])
+            rows[missing] = _lookup_keys(self._sorted_keys,
+                                         self._sorted_rows, keys[missing])
         return rows
 
     def _evaluate(self, states: np.ndarray, keys: np.ndarray) -> None:
@@ -208,8 +211,13 @@ class ProjectionAssembler:
         self._states = np.concatenate([self._states, states])
         self._prop = np.concatenate([self._prop, prop])
         self._succ = np.concatenate([self._succ, succ])
-        for i, k in enumerate(keys):
-            self._index[int(k)] = base + i
+        all_keys = np.concatenate([self._sorted_keys, keys])
+        all_rows = np.concatenate([self._sorted_rows,
+                                   np.arange(base, base + n_new,
+                                             dtype=np.int64)])
+        order = np.argsort(all_keys, kind="stable")
+        self._sorted_keys = all_keys[order]
+        self._sorted_rows = all_rows[order]
         self.states_evaluated += n_new
 
     # -- assembly ------------------------------------------------------------
@@ -394,7 +402,9 @@ class ProjectionAssembler:
 def _lookup_keys(sorted_keys: np.ndarray, sorter: np.ndarray,
                  keys: np.ndarray) -> np.ndarray:
     """Indices of *keys* in the projection; ``-1`` where absent."""
+    if sorted_keys.size == 0:
+        return np.full(np.shape(keys), -1, dtype=np.int64)
     pos = np.searchsorted(sorted_keys, keys)
     pos_clipped = np.minimum(pos, sorted_keys.size - 1)
-    found = (sorted_keys.size > 0) & (sorted_keys[pos_clipped] == keys)
+    found = sorted_keys[pos_clipped] == keys
     return np.where(found, sorter[pos_clipped], -1).astype(np.int64)

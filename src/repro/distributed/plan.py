@@ -40,7 +40,6 @@ class WorkerSpec:
     data: np.ndarray
     diag: np.ndarray
     halo: np.ndarray
-    damping: float
     max_iterations: int
     backend: str | None
     data_name: str
@@ -50,7 +49,7 @@ class WorkerSpec:
     plan_json: str | None
 
 
-def build_specs(A, diagonal: np.ndarray, *, shards: int, damping: float,
+def build_specs(A, diagonal: np.ndarray, *, shards: int,
                 max_iterations: int, backend: str | None,
                 data_name: str, ctrl_name: str, parent_pid: int,
                 plan_json: str | None
@@ -72,7 +71,6 @@ def build_specs(A, diagonal: np.ndarray, *, shards: int, damping: float,
             diag=np.ascontiguousarray(
                 diagonal[part.row_start:part.row_stop], dtype=np.float64),
             halo=np.ascontiguousarray(part.halo_columns, dtype=np.int64),
-            damping=float(damping),
             max_iterations=int(max_iterations),
             backend=backend,
             data_name=data_name,

@@ -16,7 +16,9 @@ Two synchronization modes:
     parent drives exactly the batch/renormalize/check/rollback loop of
     :meth:`repro.solvers.base.IterativeSolverBase.solve` — including
     the product-reuse step, in-loop renormalization cadence, guardrail
-    checkpoints and the warm-start fast path — so the iterates (and
+    checkpoints, the warm-start fast path and period-2 detection (the
+    parent publishes the switched damping in the shared header) — so
+    the iterates (and
     therefore results, histories and stop reasons) are **bitwise
     equal** to the serial :class:`~repro.solvers.jacobi.JacobiSolver`.
     This is the correctness anchor the conformance suite pins.
@@ -33,7 +35,9 @@ Two synchronization modes:
     residual check before stopping — so a ``CONVERGED`` result always
     satisfies the serial tolerance even though intermediate iterates
     are nondeterministic.  Per-shard staleness counters record how far
-    ahead of the slowest peer each shard ran.
+    ahead of the slowest peer each shard ran.  Chaotic sweeps have no
+    consecutive iterates to compare, so with no explicit ``damping``
+    they run the plain iteration without period-2 detection.
 
 Resilience reuses the existing machinery: guardrail checkpoints and
 rollback cover shard results exactly as in the serial loop,
@@ -102,10 +106,10 @@ class _ShardPool:
         self.start_method = method
         self._ctx = multiprocessing.get_context(method)
         self.state = S.SharedState.create(self.n, self.shards)
+        self.state.damping = solver._omega
         data_name, ctrl_name = self.state.names
         self.parts, self._specs = build_specs(
             solver.A, solver.diagonal, shards=self.shards,
-            damping=solver.damping,
             max_iterations=solver.max_iterations,
             backend=self.backend_name,
             data_name=data_name, ctrl_name=ctrl_name,
@@ -254,7 +258,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
                  stagnation_tol: float | None = 1e-6,
                  shards: int = 2,
                  sync: str = "barrier",
-                 damping: float = 1.0,
+                 damping: float | None = None,
                  backend=None,
                  start_method: str | None = None,
                  worker_timeout_s: float = 120.0,
@@ -265,7 +269,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 f"unknown sync mode {sync!r}; expected one of {SYNC_MODES}")
         if normalize_interval is None:
             raise ValidationError("intervals must be positive")
-        if not (0.0 < damping <= 1.0):
+        if damping is not None and not (0.0 < damping <= 1.0):
             raise ValidationError(f"damping must be in (0, 1], got {damping}")
         shards = int(shards)
         if shards <= 0:
@@ -298,7 +302,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 rows=zero_rows[:5].tolist())
         self.shards = shards
         self.sync = sync
-        self.damping = float(damping)
+        self.damping = None if damping is None else float(damping)
         self.backend = backend
         if backend is not None:
             backends.resolve(backend)  # fail fast on unknown names
@@ -372,6 +376,9 @@ class ShardedJacobiSolver(IterativeSolverBase):
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=accel)
+        detector = self._new_detector()
+        if self.sync != "barrier":
+            detector = None  # chaotic: fixed damping, plain when unset
         history: list[tuple[int, float]] = []
         t0 = time.perf_counter()
         iteration = 0
@@ -615,6 +622,13 @@ class ShardedJacobiSolver(IterativeSolverBase):
                 if stop is not None:
                     reason = stop
                     return
+                # The other ping-pong buffer still holds the iterate of
+                # one sweep earlier: the serial loop's ``x_prev``.
+                if detector is not None and detector.observe(
+                        iteration, x_cur(), pool.state.x(1 - cur),
+                        pool.state.y, self.diagonal):
+                    self._omega = pool.state.damping = detector.damping
+                    span.set_attribute("damped_at", iteration)
                 if (time_budget_s is not None
                         and time.perf_counter() - t0 >= time_budget_s):
                     reason = StopReason.TIMED_OUT
@@ -642,7 +656,7 @@ class ShardedJacobiSolver(IterativeSolverBase):
             if checkpointer is not None:
                 meta = self._checkpoint_meta(history, best_residual,
                                              checks_done, recoveries,
-                                             criterion)
+                                             criterion, detector)
                 meta["sharding"] = {
                     "shards": pool.shards,
                     "requested_shards": requested_shards,
@@ -781,22 +795,9 @@ class ShardedJacobiSolver(IterativeSolverBase):
         if checkpointer is not None and checkpointer.resume:
             resumed = checkpointer.load_latest(kind="solver")
         if resumed is not None:
-            from repro.errors import CheckpointError
-            rx = np.asarray(resumed.arrays.get("x"), dtype=np.float64)
-            if rx.shape != (self.n,):
-                raise CheckpointError(
-                    f"checkpoint iterate has shape {rx.shape}, "
-                    f"system needs ({self.n},)")
-            x = rx.copy()
-            iteration = int(resumed.iteration)
-            meta = resumed.meta
-            history = [(int(i), float(r)) for i, r in meta.get("history", [])]
-            checks_done = int(meta.get("checks_done", 0))
-            saved_best = meta.get("best_residual")
-            best_residual = (float("inf") if saved_best is None
-                             else float(saved_best))
-            recoveries = int(meta.get("recoveries", 0))
-            criterion.load_state(meta.get("criterion", {}))
+            (x, iteration, history, checks_done, best_residual,
+             recoveries) = self._restore_loop_state(resumed, criterion,
+                                                    detector)
             if policy is not None:
                 checkpoint = x.copy()
                 checkpoint_iteration = iteration

@@ -9,8 +9,10 @@ One solve owns two POSIX shared-memory segments:
     slots per-shard norm reports for the chaotic residual aggregator.
 
 ``ctrl`` (int64)
-    ``[epoch, cmd, read, …reserved… | done | sweeps | halo_bytes |
-    staleness]`` — the protocol header followed by four
+    ``[epoch, cmd, read, damping, …reserved… | done | sweeps |
+    halo_bytes | staleness]`` — the protocol header (``damping`` is
+    the float64 bit pattern of the sweeps' current Jacobi damping,
+    which a period-2 switch changes mid-solve) followed by four
     ``shards``-wide counter blocks.  Each worker writes only its own
     slot of each block; the parent only reads them (plus the header,
     which only the parent writes).
@@ -51,6 +53,7 @@ CMD_STOP = 6          #: ack and exit
 IDX_EPOCH = 0
 IDX_CMD = 1
 IDX_READ = 2
+IDX_DAMPING = 3
 _HEADER = 8
 
 
@@ -167,6 +170,16 @@ class SharedState:
         """Per-shard ``||x_block||_inf`` reports (chaotic mode)."""
         base = 3 * self.n + self.shards
         return self.data[base:base + self.shards]
+
+    @property
+    def damping(self) -> float:
+        """The Jacobi damping sweeps apply (parent-written header slot)."""
+        return float(self.ctrl[IDX_DAMPING:IDX_DAMPING + 1]
+                     .view(np.float64)[0])
+
+    @damping.setter
+    def damping(self, value: float) -> None:
+        self.ctrl[IDX_DAMPING:IDX_DAMPING + 1].view(np.float64)[0] = value
 
     # -- int64 views ------------------------------------------------------
 

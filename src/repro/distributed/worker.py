@@ -79,7 +79,6 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
     diag = spec.diag
     halo = spec.halo
     halo_delta = int(halo.size) * 8
-    damping = spec.damping
 
     be = backends.serving("", "jacobi_sweep", spec.backend)
     # The block sweep is an extension method, not a protocol op: probe
@@ -120,7 +119,7 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
                         f"injected kill fault at shard {d}, sweep {idx}")
                 time.sleep(fs.delay_s)  # kind == "stall"
 
-    def block_update() -> np.ndarray:
+    def block_update(damping: float) -> np.ndarray:
         """The (damped) Jacobi update of the owned block from ``xl``."""
         if block_sweep is not None:
             return block_sweep(local, diag, xl, lo, damping=damping)
@@ -137,6 +136,7 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
 
     def chaotic_run(my_epoch: int) -> None:
         xb = state.x(0)
+        damping = state.damping
         while int(ctrl[S.IDX_EPOCH]) == my_epoch:
             if orphaned():
                 return
@@ -180,11 +180,12 @@ def _run(spec, state, backends, FaultPlan, WorkerCrashError) -> None:
         if cmd == S.CMD_SWEEP:
             maybe_fault()
             gather(state.x(read))
-            state.x(1 - read)[lo:hi] = block_update()
+            state.x(1 - read)[lo:hi] = block_update(state.damping)
         elif cmd == S.CMD_STEP_FROM_Y:
             # Consume the parent's residual product y = A @ x: no halo
             # gather, mirrors JacobiSolver.step_from_product bitwise.
             maybe_fault()
+            damping = state.damping
             xb = state.x(read)[lo:hi]
             yb = state.y[lo:hi]
             new = -(yb - diag * xb) / diag

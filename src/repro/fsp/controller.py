@@ -51,6 +51,22 @@ step per layer, and metastable modes can sit tens of steps from the
 seed.  The previous iterate is carried onto the new projection with
 :func:`repro.solvers.remap_iterate` (state-keyed, so permutation,
 growth and pruning are all safe) and used as the warm start.
+
+Round tolerances
+----------------
+A round whose previous bound is far above ``fsp_tol`` only steers
+growth, so its inner solve stops at ``tol · bound_prev / fsp_tol``
+(between ``tol`` and :data:`ROUND_TOL_CAP`).  When a round's bound
+meets ``fsp_tol``, the next round is a *certifying pass*: the same
+projection, re-solved from its iterate to ``tol`` measured on the
+projection's own ``||A||_inf`` (the sink's row makes the augmented
+system's norm far larger, and a residual normalized by it reads that
+much tighter than it is).  Only a certifying pass whose recomputed
+bound still meets ``fsp_tol`` certifies.  After growth or pruning, a
+warm start that already meets the round's tolerance is never kept
+unmoved: it holds zeros on the new states, so a bound measured on it
+is blind to the new boundary, and the round sweeps it
+:data:`UNMOVED_SWEEPS` times instead.
 """
 
 from __future__ import annotations
@@ -71,6 +87,14 @@ from repro.sparse.base import as_csr
 from repro.telemetry import tracing
 from repro.telemetry.metrics import get_registry
 
+#: Ceiling on a steering round's inner tolerance (see
+#: :meth:`AdaptiveFspController._round_tol`).
+ROUND_TOL_CAP = 1e-6
+
+#: Sweeps a round runs on a grown or pruned projection whose warm start
+#: already met the round's tolerance (one default check interval).
+UNMOVED_SWEEPS = 100
+
 
 @dataclass(frozen=True)
 class FspRound:
@@ -81,7 +105,9 @@ class FspRound:
     added: int                 #: States grown in *before* this round.
     pruned: int                #: States pruned *before* this round.
     iterations: int            #: Inner-solver iterations spent.
-    residual: float            #: Inner solve's final residual.
+    #: Inner solve's final residual, normalized by the projection's
+    #: own ``||A||_inf`` (not the sink-augmented system's).
+    residual: float
     outflow_flux: float        #: Stationary boundary flux Φ_out.
     return_floor: float        #: ρ — the frontier return-rate floor.
     tail_ratio: float          #: γ — clipped layer-decay ratio.
@@ -172,7 +198,9 @@ class AdaptiveFspController:
         The inner steady-state solve: method name from
         :data:`~repro.solvers.SOLVER_REGISTRY` plus its options
         (``damping``, ``check_interval``, ... — anything the solver's
-        constructor takes).
+        constructor takes).  ``tol`` is what the certifying pass
+        reaches on the projection's own norm; steering rounds stop
+        looser (see the module docstring).
     initial_size:
         Seed projection size (a BFS ball around the initial state).
     max_rounds:
@@ -275,6 +303,12 @@ class AdaptiveFspController:
         converged = False
         reason = "max_rounds"
         start_round = 1
+        # The next round's certifying tolerance (``None``: a steering
+        # round).
+        cert_tol: float | None = None
+        # (space, A_sys, w, has_outflow, scale) of the last assembly; a
+        # certifying round re-solves the same projection.
+        system = None
 
         if checkpointer is not None and checkpointer.resume:
             resumed = checkpointer.load_latest(kind="fsp")
@@ -293,6 +327,8 @@ class AdaptiveFspController:
                 added = int(meta.get("added", 0))
                 pruned = int(meta.get("pruned", 0))
                 bound = float(meta.get("bound", float("inf")))
+                saved_tol = meta.get("cert_tol")
+                cert_tol = None if saved_tol is None else float(saved_tol)
                 if prev is not None and prev.size == space.size:
                     nu_c = prev.copy()
                 else:
@@ -314,6 +350,7 @@ class AdaptiveFspController:
                 "added": int(added),
                 "pruned": int(pruned),
                 "bound": float(bound),
+                "cert_tol": cert_tol,
                 "rounds": [asdict(rec) for rec in rounds],
             }, kind="fsp")
 
@@ -330,20 +367,14 @@ class AdaptiveFspController:
                         reason = "timed_out"
                         break
                 round_t0 = time.perf_counter()
-                with tracing.span("fsp.round", round=r,
-                                  states=space.size) as rspan:
-                    A, w = self.assembler.assemble(space)
-                    has_outflow = bool(np.any(w > 0.0))
-                    if has_outflow:
-                        # The sink's return rate is a *conditioning*
-                        # choice, not part of the certificate: keep it
-                        # at the generator's own diagonal scale so the
-                        # Jacobi/power iteration matrix stays balanced.
-                        kappa = float(np.abs(A.diagonal()).max())
-                        A_sys = self._with_sink(A, w, kappa,
-                                                self._redirect_index(space))
-                    else:
-                        A_sys = A
+                certifying = cert_tol is not None
+                with tracing.span("fsp.round", round=r, states=space.size,
+                                  certifying=certifying) as rspan:
+                    if system is None or system[0] is not space:
+                        system = (space, *self._system(space))
+                    _, A_sys, w, has_outflow, scale = system
+                    round_tol = (cert_tol if certifying
+                                 else self._round_tol(bound))
                     x0 = self._warm_start(space, prev, prev_space,
                                           prev_sink, has_outflow)
                     # A looser stagnation default than the solvers' own:
@@ -352,16 +383,32 @@ class AdaptiveFspController:
                     # the whole iteration budget for digits growth will
                     # erase anyway.  Explicit solver_options still win.
                     opts = {"stagnation_tol": 1e-4, **self.solver_options}
-                    solver = SOLVER_REGISTRY[self.method](
-                        A_sys, tol=self.tol,
-                        max_iterations=self.max_iterations, **opts)
-                    # The warm start is last round's solved iterate
-                    # remapped (finite, non-negative by construction),
-                    # so the O(n) x0 scans are skipped on every
-                    # projection round after the first.
-                    result = solver.solve(x0, time_budget_s=remaining,
-                                          hooks=hooks,
-                                          validate_x0=x0 is None)
+
+                    def inner_solve(tol, max_iterations=self.max_iterations):
+                        solver = SOLVER_REGISTRY[self.method](
+                            A_sys, tol=tol, max_iterations=max_iterations,
+                            **opts)
+                        # The warm start is last round's solved iterate
+                        # remapped (finite, non-negative by
+                        # construction), so the O(n) x0 scans are
+                        # skipped on every round after the first.
+                        return solver.solve(x0, time_budget_s=remaining,
+                                            hooks=hooks,
+                                            validate_x0=x0 is None)
+
+                    result = inner_solve(round_tol)
+                    if result.iterations == 0 and (added or pruned) \
+                            and result.residual > 0.0:
+                        # The remapped warm start already meets the
+                        # tolerance, but it holds zeros where growth
+                        # added states, so a bound measured on it is
+                        # blind to the new boundary: sweep it anyway.
+                        # A tolerance below its residual keeps the
+                        # solver from returning it unmoved.
+                        result = inner_solve(
+                            min(round_tol, 0.5 * result.residual),
+                            max_iterations=min(UNMOVED_SWEEPS,
+                                               self.max_iterations))
                     nu = result.x[:-1] if has_outflow else result.x
                     sink_mass = float(result.x[-1]) if has_outflow else 0.0
                     mass = float(nu.sum())
@@ -379,10 +426,12 @@ class AdaptiveFspController:
                     rounds.append(FspRound(
                         round=r, states=space.size, added=added,
                         pruned=pruned, iterations=result.iterations,
-                        residual=result.residual, outflow_flux=flux,
+                        residual=result.residual * scale,
+                        outflow_flux=flux,
                         return_floor=rho, tail_ratio=gamma, bound=bound,
                         runtime_s=time.perf_counter() - round_t0))
                     rounds_ctr.inc()
+                    rspan.set_attribute("tol", round_tol)
                     rspan.set_attribute("bound", bound)
                     rspan.set_attribute("iterations", result.iterations)
 
@@ -401,27 +450,28 @@ class AdaptiveFspController:
                         break
                     solved = result.stop_reason in (StopReason.CONVERGED,
                                                     StopReason.STAGNATED)
-                    if not has_outflow and solved:
-                        converged, reason = True, "closed"
-                        break
-                    if bound <= self.fsp_tol and solved:
-                        converged, reason = True, "certified"
+                    if bound <= self.fsp_tol and solved and certifying:
+                        converged = True
+                        reason = "certified" if has_outflow else "closed"
                         break
                     if r == self.max_rounds:
                         reason = "max_rounds"
                         break
-                    if bound <= self.fsp_tol or not has_outflow:
-                        # Bound already fine but the solve ran out of
-                        # iterations: re-solve this projection from the
-                        # carried iterate instead of growing.
-                        prev, prev_space, prev_sink = nu_c, space, sink_mass
+                    prev, prev_space, prev_sink = nu_c, space, sink_mass
+                    if bound <= self.fsp_tol:
+                        # The bound meets the target, but only a solve to
+                        # ``tol`` on this projection may claim it: re-solve
+                        # the projection from its iterate, at ``tol``
+                        # measured on the projection's own norm (the
+                        # sink's row inflates the system's).
+                        cert_tol = self.tol / scale
                         added = pruned = 0
                         durable_save(r)
                         continue
 
                     # Uncertified: prune the abandoned tail, grow where
                     # the boundary flux points, carry the iterate over.
-                    prev, prev_space, prev_sink = nu_c, space, sink_mass
+                    cert_tol = None
                     kept_space, kept_nu, n_pruned = self._prune(space, nu_c)
                     grown, n_added = self.assembler.grow(
                         kept_space, depth=self.expand_depth,
@@ -443,6 +493,36 @@ class AdaptiveFspController:
             runtime_s=time.perf_counter() - t0, method=self.method)
 
     # -- pieces --------------------------------------------------------------
+
+    def _round_tol(self, bound_prev: float) -> float:
+        """A steering round's inner tolerance, budgeted to the bound.
+
+        A round whose previous bound sits far above ``fsp_tol`` only
+        steers growth, so it is solved to ``tol`` scaled by how far the
+        bound is from the target, capped at :data:`ROUND_TOL_CAP`.
+        """
+        return max(self.tol,
+                   min(ROUND_TOL_CAP, self.tol * bound_prev / self.fsp_tol))
+
+    def _system(self, space: StateSpace):
+        """The round's system: ``(A_sys, w, has_outflow, scale)``.
+
+        ``scale = ||A_sys||_inf / ||A||_inf`` converts a residual the
+        solver normalized by the sink-augmented system's norm into one
+        normalized by the projection's own generator.
+        """
+        A, w = self.assembler.assemble(space)
+        has_outflow = bool(np.any(w > 0.0))
+        if not has_outflow:
+            return A, w, False, 1.0
+        # The sink's return rate is a *conditioning* choice, not part
+        # of the certificate: keep it at the generator's own diagonal
+        # scale so the Jacobi/power iteration matrix stays balanced.
+        kappa = float(np.abs(A.diagonal()).max())
+        A_sys = self._with_sink(A, w, kappa, self._redirect_index(space))
+        scale = (float(abs(A_sys).sum(axis=1).max())
+                 / float(abs(A).sum(axis=1).max()))
+        return A_sys, w, True, scale
 
     #: Clip on the geometric tail's layer-decay ratio γ: a frontier
     #: that does not contract gets a factor-20 tail instead of an

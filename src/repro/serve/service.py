@@ -306,16 +306,6 @@ class SolveService:
         locked slices (see :mod:`repro.serve.sharding`), removing the
         single cache lock as a completion-path serialization point
         under many workers.
-    default_damping:
-        Serve-level Jacobi damping applied when a request does not
-        spell out ``damping`` itself (``None`` disables).  Undamped
-        Jacobi stagnates on bipartite-structured systems — the toggle
-        switch at symmetric rate points oscillates between its two
-        modes for >100k iterations where ``damping=0.9`` converges in
-        a few hundred — which made ``toggle_switch`` the serve
-        latency outlier.  Only applies to ``method="jacobi"`` /
-        ``"sharded"``; explicit ``damping`` (including ``1.0``) always
-        wins.
     """
 
     def __init__(self, network: ReactionNetwork, *, workers: int = 1,
@@ -347,8 +337,7 @@ class SolveService:
                  pool_start: str | None = None,
                  tenant_weights: Mapping[str, int] | None = None,
                  admission: AdmissionController | Mapping | None = None,
-                 cache_shards: int = 1,
-                 default_damping: float | None = 0.9):
+                 cache_shards: int = 1):
         if timeout_s is not None and timeout_s <= 0:
             raise ValidationError("timeout_s must be positive")
         self.network = network
@@ -426,13 +415,6 @@ class SolveService:
                 f"pool-shippable and the sharded solver is itself a "
                 f"process pool")
         self.executor = executor
-        if default_damping is not None:
-            default_damping = float(default_damping)
-            if not 0.0 < default_damping <= 1.0:
-                raise ValidationError(
-                    f"default_damping must be in (0, 1], "
-                    f"got {default_damping}")
-        self.default_damping = default_damping
         if breaker_threshold < 0:
             raise ValidationError("breaker_threshold must be >= 0")
         self._breaker = None if breaker_threshold == 0 else CircuitBreaker(
@@ -588,19 +570,9 @@ class SolveService:
     def request(self, overrides: Mapping[str, float] | None = None, *,
                 tol: float | None = None, max_iterations: int | None = None,
                 solver_options: Mapping | None = None) -> SolveRequest:
-        """Build a request with this service's defaults filled in.
-
-        ``default_damping`` is folded in here — *only* when the
-        effective solver options do not carry a ``damping`` of their
-        own — so it participates in the cache key like any other
-        option and identical requests keep colliding onto one line.
-        """
+        """Build a request with this service's defaults filled in."""
         options = dict(self.solver_options if solver_options is None
                        else solver_options)
-        if (self.default_damping is not None
-                and self.method in ("jacobi", "sharded")
-                and "damping" not in options):
-            options["damping"] = self.default_damping
         return SolveRequest(
             self.network, overrides,
             tol=self.tol if tol is None else tol,

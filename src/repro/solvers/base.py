@@ -25,7 +25,11 @@ Centralizing the loop means every solver gets, identically:
   (:func:`repro.telemetry.tracing.span`, a no-op unless a recorder is
   installed);
 * the warm-start fast path: a caller-supplied ``x0`` already within
-  tolerance returns immediately with ``iterations=0``.
+  tolerance returns immediately with ``iterations=0``;
+* period-2 detection for solvers with damped steps (Jacobi): with no
+  explicit ``damping`` the loop watches each check for an error mode
+  that flips sign every sweep and switches the rest of the solve to
+  damped steps (:class:`~repro.solvers.stopping.Period2Detector`).
 """
 
 from __future__ import annotations
@@ -45,7 +49,7 @@ from repro.errors import (
 )
 from repro.solvers.normalization import renormalize, uniform_probability
 from repro.solvers.result import SolverResult, StopReason
-from repro.solvers.stopping import StoppingCriterion
+from repro.solvers.stopping import Period2Detector, StoppingCriterion
 from repro.telemetry import tracing
 
 #: Matrix-derived quantities (row sums, inf-norm, diagonal) cached per
@@ -141,6 +145,15 @@ class IterativeSolverBase:
     #: ``backend=`` constructor argument overwrite this.
     backend = None
 
+    #: Weighted-Jacobi factor of the solver's steps: a float in (0, 1],
+    #: or ``None`` to run plain steps under period-2 detection.  Solvers
+    #: without damped steps keep the plain ``1.0``.
+    damping: float | None = 1.0
+
+    #: The damping the current solve's steps apply: :attr:`damping`, or
+    #: the detector's choice when :attr:`damping` is ``None``.
+    _omega: float = 1.0
+
     #: Kernel backend resolved by the most recent :meth:`solve`
     #: (``None`` before the first solve).  Refreshed at the top of
     #: every solve from :meth:`_select_backend` so ambient selections
@@ -225,11 +238,19 @@ class IterativeSolverBase:
 
     # -- the unified solve loop ----------------------------------------------
 
+    def _new_detector(self) -> Period2Detector | None:
+        """Start a solve's damping state: a detector, or ``None`` when
+        the caller fixed the damping."""
+        detector = Period2Detector() if self.damping is None else None
+        self._omega = (detector.damping if detector is not None
+                       else self.damping)
+        return detector
+
     @staticmethod
     def _checkpoint_meta(history, best_residual, checks_done, recoveries,
-                         criterion) -> dict:
+                         criterion, detector=None) -> dict:
         """JSON-serializable loop state for a durable checkpoint."""
-        return {
+        meta = {
             "history": [[int(i), float(r)] for i, r in history],
             "best_residual": (None if not np.isfinite(best_residual)
                               else float(best_residual)),
@@ -237,6 +258,34 @@ class IterativeSolverBase:
             "recoveries": int(recoveries),
             "criterion": criterion.state_dict(),
         }
+        if detector is not None:
+            meta["period2"] = detector.state_dict()
+        return meta
+
+    def _restore_loop_state(self, resumed, criterion, detector) -> tuple:
+        """Loop state from a durable checkpoint written by this loop.
+
+        Returns ``(x, iteration, history, checks_done, best_residual,
+        recoveries)`` and reloads *criterion* and *detector* in place.
+        """
+        from repro.errors import CheckpointError
+        rx = np.asarray(resumed.arrays.get("x"), dtype=np.float64)
+        if rx.shape != (self.n,):
+            raise CheckpointError(
+                f"checkpoint iterate has shape {rx.shape}, "
+                f"system needs ({self.n},)")
+        meta = resumed.meta
+        history = [(int(i), float(r)) for i, r in meta.get("history", [])]
+        saved_best = meta.get("best_residual")
+        best_residual = (float("inf") if saved_best is None
+                         else float(saved_best))
+        criterion.load_state(meta.get("criterion", {}))
+        if detector is not None:
+            detector.load_state(meta.get("period2", {}))
+            self._omega = detector.damping
+        return (rx.copy(), int(resumed.iteration), history,
+                int(meta.get("checks_done", 0)), best_residual,
+                int(meta.get("recoveries", 0)))
 
     def _initial_iterate(self, x0, *, validate: bool = True) -> np.ndarray:
         """Validate *x0* and project it onto the probability simplex.
@@ -355,11 +404,15 @@ class IterativeSolverBase:
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=accel)
+        detector = self._new_detector()
         history: list[tuple[int, float]] = []
         t0 = time.perf_counter()
         iteration = 0
         reason = StopReason.MAX_ITERATIONS
         residual = float("inf")
+        # The iterate one sweep before the current one: with the check's
+        # product it gives the two steps period-2 detection compares.
+        x_prev = None
         checkpoint = x.copy() if policy is not None else None
         checkpoint_iteration = 0
         checks_done = 0
@@ -397,23 +450,9 @@ class IterativeSolverBase:
         if checkpointer is not None and checkpointer.resume:
             resumed = checkpointer.load_latest(kind="solver")
         if resumed is not None:
-            from repro.errors import CheckpointError
-            rx = np.asarray(resumed.arrays.get("x"), dtype=np.float64)
-            if rx.shape != (self.n,):
-                raise CheckpointError(
-                    f"checkpoint iterate has shape {rx.shape}, "
-                    f"system needs ({self.n},)")
-            x = rx.copy()
-            iteration = int(resumed.iteration)
-            meta = resumed.meta
-            history = [(int(i), float(r))
-                       for i, r in meta.get("history", [])]
-            checks_done = int(meta.get("checks_done", 0))
-            saved_best = meta.get("best_residual")
-            best_residual = (float("inf") if saved_best is None
-                             else float(saved_best))
-            recoveries = int(meta.get("recoveries", 0))
-            criterion.load_state(meta.get("criterion", {}))
+            (x, iteration, history, checks_done, best_residual,
+             recoveries) = self._restore_loop_state(resumed, criterion,
+                                                    detector)
             if policy is not None:
                 checkpoint = x.copy()
                 checkpoint_iteration = iteration
@@ -452,8 +491,10 @@ class IterativeSolverBase:
                 budget = min(self.check_interval,
                              self.max_iterations - iteration)
                 if hooks is None and not inject and not sweep_guard:
-                    # The original uninstrumented inner loop, unchanged.
+                    # The original uninstrumented inner loop (plus one
+                    # reference kept for period-2 detection).
                     for _ in range(budget):
+                        x_prev = x
                         x = advance(x)
                         iteration += 1
                         if (norm_every is not None
@@ -464,6 +505,7 @@ class IterativeSolverBase:
                     # residual check below, so its on_iteration call can
                     # carry the measured residual.
                     for i in range(budget):
+                        x_prev = x
                         x = advance(x)
                         iteration += 1
                         renorm = (norm_every is not None
@@ -479,6 +521,7 @@ class IterativeSolverBase:
                     # renormalization is skipped for corrupt iterates
                     # (renormalize raises on non-finite input).
                     for i in range(budget):
+                        x_prev = x
                         x = advance(x)
                         iteration += 1
                         if inject:
@@ -549,6 +592,10 @@ class IterativeSolverBase:
                 if stop is not None:
                     reason = stop
                     break
+                if detector is not None and detector.observe(
+                        iteration, x, x_prev, y, self._derived["diagonal"]):
+                    self._omega = detector.damping
+                    span.set_attribute("damped_at", iteration)
                 if (time_budget_s is not None
                         and time.perf_counter() - t0 >= time_budget_s):
                     reason = StopReason.TIMED_OUT
@@ -567,7 +614,7 @@ class IterativeSolverBase:
                         iteration, {"x": x},
                         self._checkpoint_meta(history, best_residual,
                                               checks_done, recoveries,
-                                              criterion))
+                                              criterion, detector))
             span.set_attribute("iterations", iteration)
             span.set_attribute("residual", residual)
             span.set_attribute("stop_reason", reason.value)

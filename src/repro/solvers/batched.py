@@ -30,6 +30,12 @@ sweeps do no work for it.  The arithmetic per column is identical to
 :class:`~repro.solvers.jacobi.JacobiSolver`'s fast backend, so a batched
 solve reproduces the serial answers.
 
+With no explicit ``damping`` every column runs the plain iteration
+under its own :class:`~repro.solvers.stopping.Period2Detector`, which
+makes the serial solver's decision at the same check; a batch whose
+columns disagree sweeps undamped and blends the damped columns
+afterwards with the serial update's arithmetic.
+
 Note: the batched loop is fail-fast (no guardrail rollbacks) — a
 non-finite column simply retires as DIVERGED.
 """
@@ -51,7 +57,7 @@ from repro.errors import (
 from repro.solvers.base import matrix_derived
 from repro.solvers.normalization import renormalize, uniform_probability
 from repro.solvers.result import SolverResult, StopReason
-from repro.solvers.stopping import StoppingCriterion
+from repro.solvers.stopping import Period2Detector, StoppingCriterion
 from repro.sparse.base import SparseFormat, as_csr
 from repro.telemetry import tracing
 
@@ -94,7 +100,7 @@ class BatchedJacobiSolver:
                  check_interval: int = 100,
                  normalize_interval: int = 10,
                  stagnation_tol: float | None = 1e-6,
-                 damping: float = 1.0,
+                 damping: float | None = None,
                  backend=None):
         self._init_params(tol=tol, max_iterations=max_iterations,
                           check_interval=check_interval,
@@ -130,7 +136,7 @@ class BatchedJacobiSolver:
         self = cls.__new__(cls)
         self._init_params(**{**dict(tol=1e-8, max_iterations=1_000_000,
                                     check_interval=100, normalize_interval=10,
-                                    stagnation_tol=1e-6, damping=1.0,
+                                    stagnation_tol=1e-6, damping=None,
                                     backend=None),
                              **kwargs})
         derived = [_check_system(A) for A in systems]
@@ -149,7 +155,7 @@ class BatchedJacobiSolver:
         if check_interval <= 0 or (normalize_interval is not None
                                    and normalize_interval <= 0):
             raise ValidationError("intervals must be positive")
-        if not (0.0 < damping <= 1.0):
+        if damping is not None and not (0.0 < damping <= 1.0):
             raise ValidationError(f"damping must be in (0, 1], got {damping}")
         self.backend = backend
         if backend is not None:
@@ -160,7 +166,7 @@ class BatchedJacobiSolver:
         self.normalize_interval = (None if normalize_interval is None
                                    else int(normalize_interval))
         self.stagnation_tol = stagnation_tol
-        self.damping = float(damping)
+        self.damping = None if damping is None else float(damping)
         #: Multi-RHS products performed by the last :meth:`solve_many`
         #: (one per sweep plus one per residual check batch, minus the
         #: checks whose product seeded the following sweep).
@@ -298,6 +304,12 @@ class BatchedJacobiSolver:
             max_iterations=self.max_iterations,
             stagnation_tol=self.stagnation_tol,
             backend=be if fused else None) for j in range(total)]
+        detectors = [Period2Detector() if self.damping is None else None
+                     for _ in range(total)]
+
+        def omega(j: int) -> float:
+            det = detectors[j]
+            return self.damping if det is None else det.damping
         histories: list[list[tuple[int, float]]] = [[] for _ in range(total)]
         active = list(range(total))
         shared = self.mode == "shared"
@@ -316,7 +328,11 @@ class BatchedJacobiSolver:
             D = (self._diagonal[:, None] if shared
                  else np.ascontiguousarray(self._diagonal))
             col = lambda M, c: M[:, c]              # noqa: E731
-            take = lambda M, idx: M[:, idx]         # noqa: E731
+            # Fancy indexing along axis 1 returns a Fortran-ordered
+            # block; the fused kernels (and the scratch ``empty_like``
+            # derives from it) need C order.
+            take = lambda M, idx: np.ascontiguousarray(  # noqa: E731
+                M[:, idx])
             reduce_axis = 0
         else:
             X = np.ascontiguousarray(X.T)
@@ -396,6 +412,9 @@ class BatchedJacobiSolver:
                 "criteria": [criteria[j].state_dict() for j in active],
                 "retired": retired,
             }
+            if self.damping is None:
+                meta["period2"] = [detectors[j].state_dict()
+                                   for j in active]
             checkpointer.maybe_save(iteration, {"X": X_all}, meta,
                                     kind="batched")
 
@@ -434,6 +453,9 @@ class BatchedJacobiSolver:
                 active = [int(j) for j in meta.get("active", [])]
                 for j, state in zip(active, meta.get("criteria", [])):
                     criteria[j].load_state(state)
+                if self.damping is None:
+                    for j, state in zip(active, meta.get("period2", [])):
+                        detectors[j].load_state(state)
                 if active:
                     X = (np.ascontiguousarray(X_all[:, active])
                          if shared or interleaved
@@ -479,7 +501,14 @@ class BatchedJacobiSolver:
                 # (IEEE rounding is symmetric under sign flip), but one
                 # temporary instead of four.
                 S = np.empty_like(X)
-                B = np.empty_like(X) if self.damping != 1.0 else None
+                # The columns' dampings change only at checks.  When
+                # they disagree, the shared kernels sweep undamped and
+                # ``blend`` damps the damped columns afterwards.
+                omegas = [omega(j) for j in active]
+                damping = omegas[0] if len(set(omegas)) == 1 else 1.0
+                blend = ([] if damping != 1.0 else
+                         [(c, w) for c, w in enumerate(omegas) if w != 1.0])
+                B = np.empty_like(X) if damping != 1.0 else None
                 if fused and not shared:
                     live = [self._systems[j] for j in active]
                     if not interleaved:
@@ -500,10 +529,10 @@ class BatchedJacobiSolver:
                         self.products += 1
                         if shared:
                             be.jacobi_sweep(self.A, self._diagonal, X,
-                                            damping=self.damping, out=S)
+                                            damping=damping, out=S)
                         elif interleaved:
                             swept = sweep_many(live, D, X,
-                                               damping=self.damping,
+                                               damping=damping,
                                                out=S)
                             if swept is None:
                                 # Unreachable after the construction-
@@ -515,14 +544,14 @@ class BatchedJacobiSolver:
                                     sc = np.empty_like(xc)
                                     be.jacobi_sweep(self._systems[j],
                                                     dc, xc,
-                                                    damping=self.damping,
+                                                    damping=damping,
                                                     out=sc)
                                     S[:, c] = sc
                         else:
                             for c, j in enumerate(active):
                                 be.jacobi_sweep(self._systems[j],
                                                 D_rows[c], X_rows[c],
-                                                damping=self.damping,
+                                                damping=damping,
                                                 out=S_rows[c])
                     else:
                         if pending_Y is not None:
@@ -533,9 +562,13 @@ class BatchedJacobiSolver:
                         np.subtract(S, Y, out=S)
                         np.divide(S, D, out=S)
                         if B is not None:
-                            np.multiply(X, 1.0 - self.damping, out=B)
-                            np.multiply(S, self.damping, out=S)
+                            np.multiply(X, 1.0 - damping, out=B)
+                            np.multiply(S, damping, out=S)
                             np.add(B, S, out=S)
+                    for c, w in blend:
+                        # JacobiSolver's damped update, column by column.
+                        sc = col(S, c)
+                        sc[...] = (1.0 - w) * col(X, c) + w * sc
                     X, S = S, X
                     if fused and not shared and not interleaved:
                         X_rows, S_rows = S_rows, X_rows
@@ -600,6 +633,17 @@ class BatchedJacobiSolver:
                     stop, res = criteria[j].check(iteration, col(Y, c),
                                                   col(X, c))
                     histories[j].append((iteration, res))
+                    det = detectors[j]
+                    if stop is None and det is not None \
+                            and det.switched_at is None:
+                        # Contiguous copies: the reductions then run in
+                        # the serial solver's order.
+                        det.observe(
+                            iteration, np.ascontiguousarray(col(X, c)),
+                            np.ascontiguousarray(col(S, c)),
+                            np.ascontiguousarray(col(Y, c)),
+                            np.ascontiguousarray(
+                                self._diagonal if shared else col(D, c)))
                     if stop is None and expired:
                         stop = StopReason.TIMED_OUT
                     if stop is None and iteration >= self.max_iterations:

@@ -60,11 +60,16 @@ class JacobiSolver(IterativeSolverBase):
         ``"fast"`` or ``"format"`` (see module docstring).
     damping:
         Weighted-Jacobi factor ``omega`` in (0, 1]: the update becomes
-        ``x <- (1 - omega) x + omega J(x)``.  ``1.0`` is the paper's
-        plain iteration; any ``omega < 1`` pulls every non-unit
-        eigenvalue of the iteration matrix strictly inside the unit
-        circle, restoring convergence for operators with rotating
-        spectra (oscillatory networks on their limit cycle).
+        ``x <- (1 - omega) x + omega J(x)``.  Any ``omega < 1`` pulls
+        every non-unit eigenvalue of the iteration matrix strictly
+        inside the unit circle, restoring convergence for operators
+        with rotating spectra (oscillatory networks on their limit
+        cycle).  ``None`` (default) runs the paper's plain iteration
+        and switches to :data:`~repro.solvers.stopping.PERIOD2_DAMPING`
+        at the first check whose error mode flips sign every sweep
+        (see :class:`~repro.solvers.stopping.Period2Detector`).  An
+        explicit value, ``1.0`` included, fixes the damping and turns
+        detection off.
     backend:
         Kernel backend for the fast step's fused sweep (a name, a
         :class:`~repro.backends.protocol.KernelBackend` instance, or
@@ -83,16 +88,17 @@ class JacobiSolver(IterativeSolverBase):
                  normalize_interval: int = 10,
                  stagnation_tol: float | None = 1e-6,
                  step: str = "fast",
-                 damping: float = 1.0,
+                 damping: float | None = None,
                  backend=None):
         if step not in STEP_BACKENDS:
             raise ValidationError(
                 f"unknown step backend {step!r}; expected {STEP_BACKENDS}")
         if normalize_interval is None:
             raise ValidationError("intervals must be positive")
-        if not (0.0 < damping <= 1.0):
+        if damping is not None and not (0.0 < damping <= 1.0):
             raise ValidationError(f"damping must be in (0, 1], got {damping}")
-        self.damping = float(damping)
+        self.damping = None if damping is None else float(damping)
+        self._omega = 1.0 if damping is None else self.damping
         self.format = matrix if hasattr(matrix, "jacobi_step") else None
         if step == "format" and self.format is None:
             raise ValidationError(
@@ -153,19 +159,19 @@ class JacobiSolver(IterativeSolverBase):
             # The fused sweep folds the product, update and damping into
             # one kernel call; its iterates match the inline path bitwise.
             return be.jacobi_sweep(self.A, self.diagonal, x,
-                                   damping=self.damping)
+                                   damping=self._omega)
         new = (self._format_step(x) if self.step_backend == "format"
                else self._fast_step(x))
-        if self.damping != 1.0:
-            return (1.0 - self.damping) * x + self.damping * new
+        if self._omega != 1.0:
+            return (1.0 - self._omega) * x + self._omega * new
         return new
 
     def step_from_product(self, x: np.ndarray,
                           y: np.ndarray) -> np.ndarray:
         """One fast-backend iteration from an existing ``y = A @ x``."""
         new = -(y - self.diagonal * x) / self.diagonal
-        if self.damping != 1.0:
-            return (1.0 - self.damping) * x + self.damping * new
+        if self._omega != 1.0:
+            return (1.0 - self._omega) * x + self._omega * new
         return new
 
     # ``solve(x0=None, *, time_budget_s=None, hooks=None)`` comes from

@@ -88,8 +88,10 @@ class TestAssemble:
                                 states=half.states[perm]))
         assert asm.states_evaluated == seen
         # Growing to the full space pays only for the new states.
-        asm.assemble(full)
+        A, _ = asm.assemble(full)
         assert asm.states_evaluated <= full.size + seen - half.size
+        # The merged key index serves the same rows a fresh one would.
+        assert abs(A - build_rate_matrix(full)).max() == 0.0
 
     def test_layout_guard(self, network):
         asm = ProjectionAssembler(network)

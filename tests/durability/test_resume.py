@@ -120,6 +120,68 @@ class TestBatchedResume:
             np.testing.assert_array_equal(res.x, ref.x)
 
 
+class TestPeriod2Resume:
+    """Resume after the period-2 switch keeps the damped trajectory.
+
+    With no explicit ``damping`` the toggle switch's solve switches to
+    damped steps at its first check (iteration 100); the partial runs
+    stop at 150, so every checkpoint they leave is post-switch.
+    """
+
+    def saved_switch(self, tmp_path, system, kind, method):
+        data = make_ck(tmp_path, system, resume=True,
+                       method=method).load_latest(kind=kind)
+        return data.meta["period2"]
+
+    def test_serial(self, system, tmp_path):
+        reference = JacobiSolver(system, tol=TOL).solve()
+        ck = make_ck(tmp_path, system)
+        JacobiSolver(system, tol=TOL, max_iterations=150).solve(
+            checkpointer=ck)
+        assert self.saved_switch(tmp_path, system, "solver",
+                                 "jacobi") == {"switched_at": 100}
+        ck2 = make_ck(tmp_path, system, resume=True)
+        resumed = JacobiSolver(system, tol=TOL).solve(checkpointer=ck2)
+        assert ck2.resumed_from is not None
+        assert_identical(reference, resumed)
+
+    def test_batched(self, system, tmp_path):
+        from repro.solvers.batched import BatchedJacobiSolver
+
+        tols = [1e-10, 1e-8, 1e-9]
+        reference = BatchedJacobiSolver(system, tol=TOL).solve_many(
+            None, k=3, tols=tols)
+        ck = make_ck(tmp_path, system, every=100, method="batched")
+        BatchedJacobiSolver(system, tol=TOL, max_iterations=150).solve_many(
+            None, k=3, tols=tols, checkpointer=ck)
+        assert self.saved_switch(tmp_path, system, "batched",
+                                 "batched") == [{"switched_at": 100}] * 3
+        ck2 = make_ck(tmp_path, system, every=100, resume=True,
+                      method="batched")
+        resumed = BatchedJacobiSolver(system, tol=TOL).solve_many(
+            None, k=3, tols=tols, checkpointer=ck2)
+        assert ck2.resumed_from is not None
+        for ref, res in zip(reference, resumed):
+            assert res.iterations == ref.iterations
+            assert res.residual == ref.residual
+            np.testing.assert_array_equal(res.x, ref.x)
+
+    def test_barrier_sharded(self, system, tmp_path):
+        from repro.distributed.sharded import ShardedJacobiSolver
+
+        reference = JacobiSolver(system, tol=TOL).solve()
+        ck = make_ck(tmp_path, system, method="sharded")
+        ShardedJacobiSolver(system, shards=2, tol=TOL,
+                            max_iterations=150).solve(checkpointer=ck)
+        assert self.saved_switch(tmp_path, system, "solver",
+                                 "sharded") == {"switched_at": 100}
+        ck2 = make_ck(tmp_path, system, resume=True, method="sharded")
+        resumed = ShardedJacobiSolver(system, shards=2, tol=TOL).solve(
+            checkpointer=ck2)
+        assert ck2.resumed_from is not None
+        assert_identical(reference, resumed)
+
+
 class TestFspResume:
     def test_round_granular_resume_matches(self, tmp_path):
         from repro.durability import network_signature

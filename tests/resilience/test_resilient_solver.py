@@ -59,10 +59,11 @@ class TestSolve:
         assert resilient.recovery.fallback_chain == ["jacobi"]
 
     def test_falls_back_when_jacobi_stagnates(self, birth_death_matrix):
-        # Undamped Jacobi oscillates on the bipartite-ish birth-death
+        # Plain Jacobi oscillates on the bipartite-ish birth-death
         # chain and stagnates; the chain should hand its iterate to
         # Gauss-Seidel, which finishes the job.
-        result = ResilientSolver(birth_death_matrix, tol=1e-10).solve()
+        result = ResilientSolver(birth_death_matrix, tol=1e-10,
+                                 damping=1.0).solve()
         assert result.converged
         assert result.recovery.fallback_chain[:2] == ["jacobi",
                                                       "gauss-seidel"]
@@ -70,13 +71,23 @@ class TestSolve:
         direct = JacobiSolver(birth_death_matrix, tol=1e-10,
                               damping=0.8).solve()
         np.testing.assert_allclose(result.x, direct.x, atol=1e-8)
+        # The default Jacobi attempt detects the oscillation itself.
+        default = ResilientSolver(birth_death_matrix, tol=1e-10).solve()
+        assert default.converged
+        assert default.recovery.fallback_chain == ["jacobi"]
 
     def test_iterations_sum_across_attempts(self, birth_death_matrix):
-        result = ResilientSolver(birth_death_matrix, tol=1e-10).solve()
+        result = ResilientSolver(birth_death_matrix, tol=1e-10,
+                                 damping=1.0).solve()
         assert len(result.recovery.fallback_chain) >= 2
         # The combined count includes the stagnated Jacobi attempt.
-        stagnated = JacobiSolver(birth_death_matrix, tol=1e-10).solve()
+        stagnated = JacobiSolver(birth_death_matrix, tol=1e-10,
+                                 damping=1.0).solve()
         assert result.iterations > stagnated.iterations
+        # By default the Jacobi attempt converges and is the only one.
+        default = ResilientSolver(birth_death_matrix, tol=1e-10).solve()
+        assert default.iterations == JacobiSolver(
+            birth_death_matrix, tol=1e-10).solve().iterations
 
     def test_gmres_last_resort(self, birth_death_matrix):
         result = ResilientSolver(birth_death_matrix, tol=1e-10,
@@ -89,11 +100,18 @@ class TestSolve:
     def test_hooks_fire_stop_exactly_once_across_fallbacks(
             self, birth_death_matrix):
         hooks = RecordingHooks()
-        result = ResilientSolver(birth_death_matrix,
-                                 tol=1e-10).solve(hooks=hooks)
+        result = ResilientSolver(birth_death_matrix, tol=1e-10,
+                                 damping=1.0).solve(hooks=hooks)
         assert len(result.recovery.fallback_chain) >= 2
         assert hooks.stop_calls == 1
         assert hooks.stop_reason is result.stop_reason
+        assert hooks.iterations == result.iterations
+        # The default converges on its first attempt, hooks still once.
+        hooks = RecordingHooks()
+        result = ResilientSolver(birth_death_matrix,
+                                 tol=1e-10).solve(hooks=hooks)
+        assert result.converged
+        assert hooks.stop_calls == 1
         assert hooks.iterations == result.iterations
 
     def test_time_budget_returns_partial_result(self, birth_death_matrix):

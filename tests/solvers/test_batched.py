@@ -89,8 +89,15 @@ class TestSharedMode:
             A[i + 2, i] += 0.3
             A[i, i] -= 0.3
         A = as_csr(A.tocsr())
+        expected = JacobiSolver(A, tol=1e-9, damping=1.0).solve()
+        got = BatchedJacobiSolver(A, tol=1e-9,
+                                  damping=1.0).solve_many(k=1)[0]
+        assert got.iterations == expected.iterations
+        np.testing.assert_array_equal(got.x, expected.x)
+        # The default (period-2 detection) keeps the same parity.
         expected = JacobiSolver(A, tol=1e-9).solve()
         got = BatchedJacobiSolver(A, tol=1e-9).solve_many(k=1)[0]
+        assert expected.converged
         assert got.iterations == expected.iterations
         np.testing.assert_array_equal(got.x, expected.x)
 

@@ -21,9 +21,13 @@ class TestCorrectness:
         gs = GaussSeidelSolver(birth_death_matrix, tol=1e-10,
                                max_iterations=20_000).solve()
         plain_jacobi = JacobiSolver(birth_death_matrix, tol=1e-10,
+                                    damping=1.0,
                                     max_iterations=20_000).solve()
         assert gs.converged
         assert not plain_jacobi.converged
+        # Jacobi's default detects the parity mode and damps it.
+        assert JacobiSolver(birth_death_matrix, tol=1e-10,
+                            max_iterations=20_000).solve().converged
 
     def test_agrees_with_jacobi_on_toggle(self, tiny_toggle_matrix):
         gs = GaussSeidelSolver(tiny_toggle_matrix, tol=1e-10,

@@ -31,12 +31,16 @@ class TestCorrectness:
 
     def test_bipartite_oscillation_needs_damping(self, birth_death_matrix):
         """Plain Jacobi oscillates on the bipartite chain; damped converges."""
-        plain = JacobiSolver(birth_death_matrix, tol=1e-10,
+        plain = JacobiSolver(birth_death_matrix, tol=1e-10, damping=1.0,
                              max_iterations=20_000).solve()
         damped = JacobiSolver(birth_death_matrix, tol=1e-10, damping=0.6,
                               max_iterations=20_000).solve()
         assert not plain.converged
         assert damped.converged
+        # With no explicit damping the loop detects the oscillation.
+        default = JacobiSolver(birth_death_matrix, tol=1e-10,
+                               max_iterations=20_000).solve()
+        assert default.converged
 
     def test_probability_vector_maintained(self, tiny_toggle_matrix):
         result = JacobiSolver(tiny_toggle_matrix, tol=1e-9, damping=0.7,
